@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race race-bench race-par vet bench-smoke load-smoke whatif-smoke tournament-smoke fuzz fuzz-corpus verify bench bench-compare bench-fair bench-ingest profile run-daemon clean
+.PHONY: all build test race race-par vet bench-smoke load-smoke whatif-smoke tournament-smoke fuzz fuzz-corpus verify bench bench-compare bench-fair bench-ingest profile run-daemon clean
 
 all: build
 
@@ -10,29 +10,18 @@ build:
 test:
 	$(GO) test ./...
 
-# race exercises the concurrent paths (the branch-parallel window
-# search, the engines driving it, and the daemon's wall-clock loop)
-# under the race detector.
+# race exercises the concurrent paths (the what-if planner's parallel
+# rollouts, the engines driving them, the worker pool, and the daemon's
+# wall-clock loop and ingest lanes) under the race detector.
 race:
 	$(GO) test -race ./internal/core ./internal/sim ./internal/parallel ./internal/server
 
-# race-bench replays the at-scale end-to-end benchmark once under the
-# race detector with the work-stealing window search at eight workers:
-# the full simulation drives the search's chunked claim counter, the
-# shared atomic bound, and the per-branch plan arenas concurrently, a
-# surface the unit tests only cover on synthetic windows.
-race-bench:
-	$(GO) test -race -run '^$$' -bench 'SimAtScale/search=par/workers=8' -benchtime 1x .
-
 # race-par is the multi-core leg of the race gate: with GOMAXPROCS
-# pinned to 4 the parallel window search actually recruits helpers (at
-# GOMAXPROCS=1 the pool never spins one up, so races between helper
-# goroutines are structurally unreachable). It replays the full at-scale
-# parallel-search bench matrix and the three-way differential suite —
-# which exercises the incremental fairness oracle's replay-echo worlds —
-# under the race detector.
+# pinned to 4 the what-if planner's rollouts fan out across real
+# worker goroutines (parallel.ForEach). It replays the three-way
+# differential suite — which also exercises the incremental fairness
+# oracle's replay-echo worlds — under the race detector.
 race-par:
-	GOMAXPROCS=4 $(GO) test -race -run '^$$' -bench 'SimAtScale/search=par' -benchtime 1x .
 	GOMAXPROCS=4 $(GO) test -race -run 'TestDifferentialThreeWay' ./internal/sim
 
 vet:
@@ -86,12 +75,12 @@ fuzz: fuzz-corpus
 	$(GO) test -run '^$$' -fuzz '^FuzzPolicySpec$$' -fuzztime $(FUZZTIME) ./internal/cli
 
 # verify is the pre-merge gate: vet, build, the full suite (which
-# replays both fuzz seed corpora), the concurrent packages under the
+# replays the fuzz seed corpora), the concurrent packages under the
 # race detector, the seed-corpus presence check, and a benchmark smoke
 # test. The benchmark comparison runs too, but non-fatally: measured
 # numbers vary with the machine, so a regression there warns without
 # blocking the gate.
-verify: vet build test race race-bench fuzz-corpus bench-smoke
+verify: vet build test race fuzz-corpus bench-smoke
 	-$(MAKE) bench-compare
 
 # bench runs the measured scheduling benchmarks (window-search micro
@@ -121,7 +110,6 @@ bench-ingest:
 	./scripts/bench_ingest.sh BENCH_5.json
 
 # profile captures CPU and heap profiles of the at-scale simulation
-# (the serial variant, so the profile reads as one straight call tree)
 # for pprof: `go tool pprof cpu.prof` / `go tool pprof mem.prof`.
 profile:
 	$(GO) test -run '^$$' -bench 'SimAtScale/search=serial' -benchtime 5x \

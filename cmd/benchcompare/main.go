@@ -6,14 +6,7 @@
 //	benchcompare [-max-regress 0.20] OLD.json NEW.json
 //
 // The diff is grouped by benchmark family (the name up to the first
-// "/"), and families that sweep the parallel search's worker count
-// ("…/workers=N" sub-benchmarks) additionally get a scaling table:
-// ns/op, allocs/op, speedup, and parallel efficiency of every worker
-// count against the family's workers=1 row. Families carrying both a
-// "…/search=serial" and "…/search=par…" row get a cost check on top: a
-// parallel row more than 10% slower or allocating more than 2x per op
-// versus serial draws a loud stderr warning (never a failure — scaling
-// is host-dependent, and the env section records the host).
+// "/").
 //
 // When the new artifact embeds a "baseline" section (pre-change
 // end-to-end numbers), the speedup against it is reported as well;
@@ -26,8 +19,8 @@
 // printed as its own table; a what-if variant whose lookahead spend
 // exceeds 10% of the at-scale end-to-end runtime draws a warning.
 //
-// When both artifacts carry an "env" section (GOMAXPROCS, search
-// worker count, CPU model), any mismatch is reported as a warning —
+// When both artifacts carry an "env" section (GOMAXPROCS, CPU model),
+// any mismatch is reported as a warning —
 // not a failure — since cross-machine ns/op comparisons are noise.
 package main
 
@@ -36,8 +29,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
-	"strconv"
 	"strings"
 )
 
@@ -50,9 +41,8 @@ type bench struct {
 }
 
 type env struct {
-	GoMaxProcs    int    `json:"gomaxprocs"`
-	SearchWorkers int    `json:"search_workers"`
-	CPU           string `json:"cpu"`
+	GoMaxProcs int    `json:"gomaxprocs"`
+	CPU        string `json:"cpu"`
 }
 
 type artifact struct {
@@ -189,10 +179,6 @@ func warnEnvMismatch(oldArt, newArt *artifact) {
 		fmt.Fprintf(os.Stderr, "benchcompare: warning: GOMAXPROCS differs (%d vs %d); ns/op comparison may be noise\n",
 			o.GoMaxProcs, n.GoMaxProcs)
 	}
-	if o.SearchWorkers != n.SearchWorkers {
-		fmt.Fprintf(os.Stderr, "benchcompare: warning: search worker count differs (%d vs %d)\n",
-			o.SearchWorkers, n.SearchWorkers)
-	}
 	if o.CPU != n.CPU {
 		fmt.Fprintf(os.Stderr, "benchcompare: warning: CPU model differs (%q vs %q); ns/op comparison may be noise\n",
 			o.CPU, n.CPU)
@@ -226,97 +212,6 @@ func family(name string) string {
 		return name[:i]
 	}
 	return name
-}
-
-// reportWorkerScaling prints, for every benchmark family that sweeps a
-// "…/workers=N" matrix, each worker count's speedup and parallel
-// efficiency relative to the family's workers=1 row. Purely
-// informational: scaling depends on the measurement host's core count
-// (the env section records it), so it never fails the run.
-func reportWorkerScaling(bs []bench) {
-	type row struct {
-		workers int
-		b       bench
-	}
-	groups := make(map[string][]row)
-	var order []string
-	for _, b := range bs {
-		i := strings.LastIndex(b.Name, "/workers=")
-		if i < 0 {
-			continue
-		}
-		w, err := strconv.Atoi(b.Name[i+len("/workers="):])
-		if err != nil || w <= 0 || b.NsPerOp <= 0 {
-			continue
-		}
-		prefix := b.Name[:i]
-		if _, seen := groups[prefix]; !seen {
-			order = append(order, prefix)
-		}
-		groups[prefix] = append(groups[prefix], row{w, b})
-	}
-	for _, prefix := range order {
-		rows := groups[prefix]
-		if len(rows) < 2 {
-			continue
-		}
-		sort.Slice(rows, func(i, j int) bool { return rows[i].workers < rows[j].workers })
-		base := rows[0]
-		for _, r := range rows {
-			if r.workers == 1 {
-				base = r
-				break
-			}
-		}
-		fmt.Printf("\nworker scaling for %s (vs workers=%d):\n", prefix, base.workers)
-		for _, r := range rows {
-			speedup := base.b.NsPerOp / r.b.NsPerOp
-			eff := speedup * float64(base.workers) / float64(r.workers)
-			fmt.Printf("  workers=%-3d %14.0f ns/op  %10.0f allocs/op  %5.2fx  %5.1f%% efficiency\n",
-				r.workers, r.b.NsPerOp, r.b.AllocsPerOp, speedup, eff*100)
-		}
-	}
-}
-
-// warnParSearchCost screams when the parallel window search stops
-// paying for itself: any "…/search=par…" row that is more than 10%
-// slower or allocates more than twice as much per op as its family's
-// "…/search=serial" row gets a loud stderr banner. A warning, not a
-// failure — wall-clock scaling legitimately degrades on a small host
-// (the env section records the core count) — but allocation blow-ups
-// are machine-independent, so a 2x alloc ratio always deserves eyes.
-func warnParSearchCost(bs []bench) {
-	serial := make(map[string]bench)
-	for _, b := range bs {
-		if i := strings.Index(b.Name, "/search=serial"); i >= 0 {
-			serial[b.Name[:i]] = b
-		}
-	}
-	for _, b := range bs {
-		i := strings.Index(b.Name, "/search=par")
-		if i < 0 {
-			continue
-		}
-		s, ok := serial[b.Name[:i]]
-		if !ok {
-			continue
-		}
-		var gripes []string
-		if s.NsPerOp > 0 && b.NsPerOp > 1.10*s.NsPerOp {
-			gripes = append(gripes, fmt.Sprintf("%.1f%% slower than search=serial",
-				(b.NsPerOp/s.NsPerOp-1)*100))
-		}
-		if s.AllocsPerOp > 0 && b.AllocsPerOp > 2*s.AllocsPerOp {
-			gripes = append(gripes, fmt.Sprintf("%.1fx the allocs/op of search=serial (%.0f vs %.0f)",
-				b.AllocsPerOp/s.AllocsPerOp, b.AllocsPerOp, s.AllocsPerOp))
-		}
-		if len(gripes) == 0 {
-			continue
-		}
-		fmt.Fprintf(os.Stderr, "benchcompare: WARNING: %s: %s\n",
-			b.Name, strings.Join(gripes, "; "))
-		fmt.Fprintln(os.Stderr, "benchcompare: WARNING: the parallel search is not paying for itself on this artifact")
-	}
 }
 
 func main() {
@@ -371,8 +266,6 @@ func main() {
 		os.Exit(2)
 	}
 
-	reportWorkerScaling(newArt.Benchmarks)
-	warnParSearchCost(newArt.Benchmarks)
 	reportFairRatios(newArt)
 	reportWhatIf(newArt)
 	reportIngestCurve(newArt.IngestCurve)

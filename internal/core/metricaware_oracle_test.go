@@ -58,6 +58,29 @@ func exhaustiveBestPermutation(plan machine.Plan, window []*job.Job, now units.T
 	return best
 }
 
+// nextPermutation advances p to the next lexicographic permutation,
+// returning false once p was the last one. It drives the exhaustive
+// oracle's enumeration (invariant.VerifyWindow keeps its own copy on
+// purpose: an auditor must not share code with what it audits).
+func nextPermutation(p []int) bool {
+	i := len(p) - 2
+	for i >= 0 && p[i] >= p[i+1] {
+		i--
+	}
+	if i < 0 {
+		return false
+	}
+	j := len(p) - 1
+	for p[j] <= p[i] {
+		j--
+	}
+	p[i], p[j] = p[j], p[i]
+	for l, r := i+1, len(p)-1; l < r; l, r = l+1, r-1 {
+		p[l], p[r] = p[r], p[l]
+	}
+	return true
+}
+
 // evalPermutationClone greedily places the window's jobs in the given
 // order on a clone of plan, returning the schedule's makespan and the
 // node count put to work immediately (the seed's evalPermutation).
@@ -102,10 +125,9 @@ func oracleMachine(r *rand.Rand) machine.Machine {
 	return m
 }
 
-// oracleWindow builds a randomized window of 2..5 jobs. Occasionally a
-// job is oversized (can never fit) to exercise the Forever path.
-func oracleWindow(r *rand.Rand) []*job.Job {
-	n := 2 + r.Intn(4)
+// oracleWindow builds a randomized window of n jobs. Occasionally a job
+// is oversized (can never fit) to exercise the Forever path.
+func oracleWindow(r *rand.Rand, n int) []*job.Job {
 	window := make([]*job.Job, n)
 	for i := range window {
 		nodes := 1 + r.Intn(220)
@@ -126,35 +148,50 @@ func oracleWindow(r *rand.Rand) []*job.Job {
 
 // The branch-and-bound search must select exactly the permutation the
 // seed's exhaustive loop selects — including all tie-breaks — on
-// randomized machine states and windows, under both objective modes,
-// and must leave the shared plan unchanged.
+// randomized machine states and windows of every searched width
+// (2..maxPermWindow), under both objective modes, and must leave the
+// shared plan unchanged. The exhaustive loop costs W! plan clones per
+// window, so the wide widths get fewer rounds. One long-lived scheduler
+// per objective carries its search scratch across widths, as a real run
+// does when the tuner moves W.
 func TestBestPermutationMatchesExhaustiveOracle(t *testing.T) {
-	const rounds = 1200
+	rounds := func(width int) int {
+		switch {
+		case width <= 5:
+			return 300
+		case width == 6:
+			return 60
+		default:
+			return 20
+		}
+	}
 	r := rand.New(rand.NewSource(7))
 	for _, utilFirst := range []bool{false, true} {
-		s := NewMetricAware(0.5, 5)
+		s := NewMetricAware(0.5, maxPermWindow)
 		s.UtilizationFirst = utilFirst
-		for i := 0; i < rounds; i++ {
-			m := oracleMachine(r)
-			window := oracleWindow(r)
-			now := units.Time(r.Intn(40))
-			plan := m.Plan(now)
-			want := exhaustiveBestPermutation(plan, window, now, utilFirst)
+		for width := 2; width <= maxPermWindow; width++ {
+			for i := 0; i < rounds(width); i++ {
+				m := oracleMachine(r)
+				window := oracleWindow(r, width)
+				now := units.Time(r.Intn(40))
+				plan := m.Plan(now)
+				want := exhaustiveBestPermutation(plan, window, now, utilFirst)
 
-			witness := plan.Clone()
-			got := s.bestPermutation(plan, window, now)
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("utilFirst=%v round %d on %s: branch-and-bound picked %v, oracle %v (window %v)",
-					utilFirst, i, m.Name(), got, want, describeWindow(window))
-			}
-			// The search speculates directly on the shared plan; every
-			// commit must have been rewound.
-			for _, j := range window {
-				gt, gh := plan.EarliestStart(j.Nodes, j.Walltime)
-				wt, wh := witness.EarliestStart(j.Nodes, j.Walltime)
-				if gt != wt || gh != wh {
-					t.Fatalf("utilFirst=%v round %d: plan mutated by search: probe (%d,%v) = (%v,%d), want (%v,%d)",
-						utilFirst, i, j.Nodes, j.Walltime, gt, gh, wt, wh)
+				witness := plan.Clone()
+				got := s.bestPermutation(plan, window, now)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("utilFirst=%v width %d round %d on %s: branch-and-bound picked %v, oracle %v (window %v)",
+						utilFirst, width, i, m.Name(), got, want, describeWindow(window))
+				}
+				// The search speculates directly on the shared plan; every
+				// commit must have been rewound.
+				for _, j := range window {
+					gt, gh := plan.EarliestStart(j.Nodes, j.Walltime)
+					wt, wh := witness.EarliestStart(j.Nodes, j.Walltime)
+					if gt != wt || gh != wh {
+						t.Fatalf("utilFirst=%v width %d round %d: plan mutated by search: probe (%d,%v) = (%v,%d), want (%v,%d)",
+							utilFirst, width, i, j.Nodes, j.Walltime, gt, gh, wt, wh)
+					}
 				}
 			}
 		}

@@ -13,8 +13,12 @@
 // byte-identical): the global sequence number fixes a total admission
 // order identical to the order the same caller would have produced
 // with serialized single submits, and the flusher injects strictly in
-// that order. Batching changes only when the lock is taken, never what
-// the engine observes. TestIngestDifferential pins this against
+// that order. The staging lock makes every gathered set a sequence
+// prefix: a batch's items are numbered and staged under its read side
+// and the flusher sweeps the shards under its write side, so no sweep
+// can take a later item while an earlier number is still unstaged.
+// Batching changes only when the lock is taken, never what the engine
+// observes. TestIngestDifferential pins this against
 // sim.Run across machines, policies, modes, and batch sizes.
 //
 // Backpressure: a full shard fails the item with ErrOverloaded rather
@@ -61,10 +65,14 @@ type lanes struct {
 	bound  int // per-shard queue capacity
 	seed   maphash.Seed
 
-	seq    atomic.Uint64
-	notify chan struct{} // wakes the flusher; capacity 1
-	stop   chan struct{}
-	done   chan struct{}
+	// staging is read-held by SubmitBatch from its first sequence
+	// number through its last append, and write-held by gather for the
+	// shard sweep. Lock order: flushMu, staging, shard mu.
+	staging sync.RWMutex
+	seq     atomic.Uint64
+	notify  chan struct{} // wakes the flusher; capacity 1
+	stop    chan struct{}
+	done    chan struct{}
 
 	// flushMu serializes flushAll between the background flusher and
 	// synchronous callers (Drain, Close, tests). Lock order is always
@@ -124,6 +132,7 @@ func (ln *lanes) SubmitBatch(reqs []SubmitRequest) []SubmitResult {
 	results := make([]SubmitResult, len(reqs))
 	var wg sync.WaitGroup
 	staged := 0
+	ln.staging.RLock()
 	for i := range reqs {
 		sh := ln.shardFor(reqs[i].User)
 		seq := ln.seq.Add(1)
@@ -145,6 +154,7 @@ func (ln *lanes) SubmitBatch(reqs []SubmitRequest) []SubmitResult {
 			staged++
 		}
 	}
+	ln.staging.RUnlock()
 	if staged > 0 {
 		ln.enqueued.Add(uint64(staged))
 		select {
@@ -189,10 +199,13 @@ func (ln *lanes) flushAll() {
 }
 
 // gather swaps out every shard's staged items and merges them into
-// arrival order. Per-shard slices are already seq-ascending (appends
-// under the shard lock), so the sort is a near-sorted merge.
+// arrival order. It sweeps under staging's write side, when no batch
+// is mid-staging and every numbered item is staged, so the result is a
+// sequence prefix. Per-shard slices are already seq-ascending (appends under the
+// shard lock), so the sort is a near-sorted merge.
 func (ln *lanes) gather() []submitItem {
 	batch := ln.scratch[:0]
+	ln.staging.Lock()
 	for i := range ln.shards {
 		sh := &ln.shards[i]
 		sh.mu.Lock()
@@ -200,6 +213,7 @@ func (ln *lanes) gather() []submitItem {
 		sh.items = sh.items[:0]
 		sh.mu.Unlock()
 	}
+	ln.staging.Unlock()
 	ln.scratch = batch[:0] // keep the backing array for reuse
 	if len(batch) > 1 {
 		sort.Slice(batch, func(i, j int) bool { return batch[i].seq < batch[j].seq })

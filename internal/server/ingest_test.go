@@ -311,3 +311,73 @@ func TestIngestConcurrentMixed(t *testing.T) {
 			s.Finished, s.Killed, s.Cancelled, got, want)
 	}
 }
+
+// TestIngestBatchOrderUnderConcurrentFlush: one caller sends batches
+// one at a time in submit order, each batch spread over several users
+// (and so over several shards), while another goroutine flushes the
+// lanes in a tight loop. A flush that swept the shards mid-staging
+// could inject a batch's later items before its earlier ones, and the
+// engine would then refuse the earlier item as submitted out of order.
+// Every item must be accepted.
+func TestIngestBatchOrderUnderConcurrentFlush(t *testing.T) {
+	d, err := New(Config{
+		Machine:      machine.NewFlat(100),
+		Scheduler:    sched.NewEASY(),
+		Speedup:      math.Inf(1),
+		Lean:         true,
+		IngestShards: 8,
+		Logger:       quietLogger(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { d.Close() })
+
+	const (
+		perBatch = 8
+		batches  = 1000
+	)
+	users := make([]string, perBatch)
+	shards := map[*ingestShard]bool{}
+	for i := range users {
+		users[i] = fmt.Sprintf("u%d", i)
+		shards[d.lanes.shardFor(users[i])] = true
+	}
+	if len(shards) < 2 {
+		t.Fatalf("users hash onto %d shard(s); the test needs at least 2", len(shards))
+	}
+
+	stop := make(chan struct{})
+	var spin sync.WaitGroup
+	spin.Add(1)
+	go func() {
+		defer spin.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				d.lanes.flushAll()
+			}
+		}
+	}()
+	defer func() {
+		close(stop)
+		spin.Wait()
+	}()
+
+	submit := int64(0)
+	reqs := make([]SubmitRequest, perBatch)
+	for b := 0; b < batches; b++ {
+		for i := range reqs {
+			submit++
+			s := submit
+			reqs[i] = SubmitRequest{User: users[i], Nodes: 1, WalltimeSec: 60, SubmitSec: &s}
+		}
+		for i, r := range d.SubmitBatch(reqs) {
+			if r.Err != nil {
+				t.Fatalf("batch %d item %d: %v", b, i, r.Err)
+			}
+		}
+	}
+}

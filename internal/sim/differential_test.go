@@ -2,6 +2,8 @@ package sim
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"testing"
@@ -14,6 +16,28 @@ import (
 	"amjs/internal/whatif"
 	"amjs/internal/workload"
 )
+
+// scheduleHash fingerprints a completed schedule: every job's identity
+// and placement, in input order.
+func scheduleHash(res *Result) [32]byte {
+	h := sha256.New()
+	var buf [8]byte
+	word := func(v int64) {
+		binary.LittleEndian.PutUint64(buf[:], uint64(v))
+		h.Write(buf[:])
+	}
+	for _, j := range res.Jobs {
+		word(int64(j.ID))
+		word(int64(j.Submit))
+		word(int64(j.Start))
+		word(int64(j.End))
+		word(int64(j.Nodes))
+		word(int64(j.State))
+	}
+	var out [32]byte
+	h.Sum(out[:0])
+	return out
+}
 
 // diffTrace generates a contended workload scaled to the 512-node
 // machines the differential grid uses.

@@ -3,15 +3,13 @@
 # to BENCH_<n>.json (default BENCH_7.json) so perf changes are tracked
 # in-repo. The default set covers the window-search micro-benchmarks,
 # the end-to-end simulation benchmark (BenchmarkSimEndToEnd), the
-# full-Intrepid 50k-job scale benchmark (BenchmarkSimAtScale), which
-# sweeps the work-stealing search across worker counts, and the what-if
-# tuning family (BenchmarkSimWhatIf), which prices the
+# full-Intrepid 50k-job scale benchmark (BenchmarkSimAtScale), and the
+# what-if tuning family (BenchmarkSimWhatIf), which prices the
 # simulation-in-the-loop planner against the threshold-rule tuner.
 #
 # The emitted file carries four audit sections:
 #
-#   - "env": GOMAXPROCS (pinned for the run, see below), the worker-pool
-#     width the parallel search would use (one per CPU), and the CPU
+#   - "env": GOMAXPROCS (pinned for the run, see below) and the CPU
 #     model, so cross-machine comparisons are honest (cmd/benchcompare
 #     warns on mismatch);
 #   - "baseline": the numbers measured by the previous PR's artifact
@@ -47,7 +45,6 @@ trap 'rm -f "$raw" "$body" "$ratios" "$whatif"' EXIT
 GOMAXPROCS=${GOMAXPROCS:-$(nproc 2>/dev/null || echo 1)}
 export GOMAXPROCS
 gomaxprocs=$GOMAXPROCS
-workers=$(nproc 2>/dev/null || echo 1)
 
 echo "bench.sh: running go test -bench '$pattern' (GOMAXPROCS=$GOMAXPROCS) ..." >&2
 # Three repetitions per benchmark; the awk pass below keeps the best
@@ -165,7 +162,6 @@ END {
 	printf '  "go": "%s",\n' "$goversion"
 	printf '  "env": {\n'
 	printf '    "gomaxprocs": %s,\n' "$gomaxprocs"
-	printf '    "search_workers": %s,\n' "$workers"
 	printf '    "cpu": "%s"\n' "$cpumodel"
 	printf '  },\n'
 	cat <<'EOF'
@@ -182,11 +178,6 @@ END {
       {"name": "BenchmarkSimEndToEnd/periodic/fair=off", "ns_per_op": 4802842, "jobs_per_sec": 53094, "bytes_per_op": 171624, "allocs_per_op": 319},
       {"name": "BenchmarkSimEndToEnd/periodic/fair=on", "ns_per_op": 11560906, "jobs_per_sec": 22057, "bytes_per_op": 411440, "allocs_per_op": 2487},
       {"name": "BenchmarkSimAtScale/search=serial", "ns_per_op": 1018660630, "jobs_per_sec": 49084, "bytes_per_op": 37747584, "allocs_per_op": 774},
-      {"name": "BenchmarkSimAtScale/search=par", "ns_per_op": 958372104, "jobs_per_sec": 52172, "bytes_per_op": 37747584, "allocs_per_op": 774},
-      {"name": "BenchmarkSimAtScale/search=par/workers=1", "ns_per_op": 975306724, "jobs_per_sec": 51266, "bytes_per_op": 37747584, "allocs_per_op": 774},
-      {"name": "BenchmarkSimAtScale/search=par/workers=2", "ns_per_op": 1051088031, "jobs_per_sec": 47570, "bytes_per_op": 37774176, "allocs_per_op": 938},
-      {"name": "BenchmarkSimAtScale/search=par/workers=4", "ns_per_op": 1102395293, "jobs_per_sec": 45356, "bytes_per_op": 37774176, "allocs_per_op": 938},
-      {"name": "BenchmarkSimAtScale/search=par/workers=8", "ns_per_op": 1103732766, "jobs_per_sec": 45301, "bytes_per_op": 37774176, "allocs_per_op": 938},
       {"name": "BenchmarkPlanEarliestStart/flat", "ns_per_op": 36.34, "bytes_per_op": 0, "allocs_per_op": 0},
       {"name": "BenchmarkPlanEarliestStart/partition", "ns_per_op": 38.27, "bytes_per_op": 0, "allocs_per_op": 0},
       {"name": "BenchmarkPlanCommit", "ns_per_op": 611.5, "bytes_per_op": 1040, "allocs_per_op": 5}
