@@ -28,11 +28,13 @@ vet:
 	$(GO) vet ./...
 
 # A one-iteration pass over the scheduling benchmarks: catches bench
-# bit-rot without the minutes-long measured run. The ingest-decode
-# family lives in internal/server, so both paths are swept.
+# bit-rot without the minutes-long measured run. The ingest-decode and
+# priority-order families live in internal/server and internal/core, so
+# those packages are swept too.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'ScheduleIteration|PlanEarliestStart|PlanCommit|SimEndToEnd|SimAtScale|SimWhatIf' -benchtime 1x .
 	$(GO) test -run '^$$' -bench 'IngestDecode' -benchtime 1x ./internal/server
+	$(GO) test -run '^$$' -bench 'Prioritize' -benchtime 1x ./internal/core
 
 # load-smoke boots amjsd on an ephemeral port and batch-submits 100k
 # jobs over real TCP loopback, failing below a conservative throughput

@@ -123,10 +123,12 @@ type MetricAware struct {
 
 	// search and prio are the reusable scratch state of the
 	// branch-and-bound window search and the priority scoring pass —
-	// buffers only, not configuration. Clone drops them so two scheduler
-	// instances never share scratch (the parallel experiment runner runs
-	// clones concurrently); AdoptScratch transplants them from a retired
-	// clone instead.
+	// buffers only, not configuration. prio also carries the last pass's
+	// priority order as the next pass's sort seed; a seed from any other
+	// queue only makes that sort slower, never different. Clone drops
+	// them so two scheduler instances never share scratch (the parallel
+	// experiment runner runs clones concurrently); AdoptScratch
+	// transplants them from a retired clone instead, seed included.
 	search     *permSearch
 	prio       *prioScratch
 	blockedBuf []*job.Job
@@ -298,6 +300,12 @@ func (s *MetricAware) Schedule(env sched.Env) {
 		}
 		sorted = s.prio.prioritize(now, queue, s.BF)
 		aggHorizon = s.prio.aggHorizon
+		// Paranoid runs cross-check the seeded sort against a cold one.
+		if paranoid {
+			if err := verifyPriorityOrder(now, queue, s.BF, sorted); err != nil {
+				panic(err)
+			}
+		}
 	}
 	plan := env.Machine().Plan(now)
 	w := s.W

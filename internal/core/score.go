@@ -4,6 +4,7 @@
 package core
 
 import (
+	"fmt"
 	"slices"
 
 	"amjs/internal/job"
@@ -57,10 +58,21 @@ func Prioritize(now units.Time, queue []*job.Job, bf float64) []*job.Job {
 // pass. The metric-aware scheduler keeps one per instance so that after
 // warm-up a scheduling pass allocates nothing for scoring: the paper's
 // evaluation needs thousands of simulations, each running this on every
-// pass of every nested fairness simulation.
+// pass of every nested fairness simulation. Every buffer grows
+// amortised, so a clone that starts from empty scratch regrows in
+// O(log n) steps rather than at each new queue high-water mark.
 type prioScratch struct {
-	jobs    []*job.Job
+	jobs  []*job.Job
+	waits []units.Duration
+
+	// entries holds the last call's queue in priority order, and each
+	// entry's k indexes prev, that call's queue in its own (arrival)
+	// order. The next call lays its entries out in this order before
+	// sorting (see prioritize); next is that call's map from an index
+	// of prev to the job's index in the new queue, or -1 once it left.
 	entries []prioEntry
+	prev    []*job.Job
+	next    []int
 
 	// aggHorizon is the latest submit time among the earliest-submitted
 	// holders of the queue's walltime extrema after the last prioritize
@@ -73,27 +85,90 @@ type prioScratch struct {
 	aggHorizon units.Time
 }
 
-// prioEntry pairs a job with its balanced priority so the sort moves
-// one small struct instead of two parallel arrays through an interface.
+// prioEntry pairs a job's index in the scored queue with its balanced
+// priority, so the sort moves one small struct instead of parallel
+// arrays through an interface.
 type prioEntry struct {
 	score float64
-	j     *job.Job
+	k     int
+}
+
+// comparePrio orders entries of queue by balanced priority, highest
+// first, ties broken by (submit, ID). It is a strict total order (IDs
+// are unique).
+func comparePrio(a, b prioEntry, queue []*job.Job) int {
+	if a.score != b.score {
+		if a.score > b.score {
+			return -1
+		}
+		return 1
+	}
+	ja, jb := queue[a.k], queue[b.k]
+	if ja.Submit != jb.Submit {
+		if ja.Submit < jb.Submit {
+			return -1
+		}
+		return 1
+	}
+	return ja.ID - jb.ID
+}
+
+// sortPrio sorts the entries of queue by comparePrio. An insertion sort
+// goes first: on a seeded pass it costs one compare per entry plus one
+// move per inversion, with the comparison inlined. Once the moves
+// outnumber the entries the input is far from sorted (a cold or
+// reshaped queue) and pdqsort finishes the job.
+func sortPrio(entries []prioEntry, queue []*job.Job) {
+	moves := 0
+	for i := 1; i < len(entries); i++ {
+		x, j := entries[i], i
+		for j > 0 && comparePrio(x, entries[j-1], queue) < 0 {
+			entries[j] = entries[j-1]
+			j--
+		}
+		entries[j] = x
+		if moves += i - j; moves > len(entries) {
+			slices.SortFunc(entries, func(a, b prioEntry) int { return comparePrio(a, b, queue) })
+			return
+		}
+	}
 }
 
 // prioritize scores queue into the scratch buffers and sorts them by
-// balanced priority, highest first, ties broken by (submit, ID). The
-// comparison is a strict total order (IDs are unique), so the result is
-// the unique sorted sequence — identical to what a stable sort yields.
-// The returned slice is scratch, valid until the next call.
+// comparePrio. The returned slice is scratch, valid until the next call.
+//
+// The sort is seeded with the previous call's priority order (see
+// score), so consecutive passes sort a nearly sorted input. Because
+// comparePrio is a strict total order, every correct sort of the same
+// entries returns the same permutation — the seed changes only how fast
+// the sort runs, never its result, whatever queue the previous call saw.
 func (p *prioScratch) prioritize(now units.Time, queue []*job.Job, bf float64) []*job.Job {
 	if len(queue) == 0 {
 		return nil
 	}
+	p.score(now, queue, bf)
+	sortPrio(p.entries, queue)
+	p.jobs = p.jobs[:0]
+	for _, e := range p.entries {
+		p.jobs = append(p.jobs, queue[e.k])
+	}
+	p.prev = append(p.prev[:0], queue...)
+	return p.jobs
+}
+
+// score fills entries with the balanced priority of every job in the
+// nonempty queue, laid out in the previous call's priority order:
+// surviving jobs in their old ranks, then the arrivals. A scratch with
+// no previous call lays them out in queue order.
+func (p *prioScratch) score(now units.Time, queue []*job.Job, bf float64) {
+	p.waits = slices.Grow(p.waits[:0], len(queue))[:len(queue)]
 	var waitMax units.Duration
 	wallMin, wallMax := queue[0].Walltime, queue[0].Walltime
 	minHold, maxHold := queue[0].Submit, queue[0].Submit
-	for _, j := range queue {
-		if w := j.WaitAt(now); w > waitMax {
+	for k, j := range queue {
+		w := j.WaitAt(now)
+		p.waits[k] = w
+		if w > waitMax {
 			waitMax = w
 		}
 		if j.Walltime < wallMin || (j.Walltime == wallMin && j.Submit < minHold) {
@@ -107,34 +182,69 @@ func (p *prioScratch) prioritize(now units.Time, queue []*job.Job, bf float64) [
 	if maxHold > p.aggHorizon {
 		p.aggHorizon = maxHold
 	}
-	if cap(p.entries) < len(queue) {
-		p.entries = make([]prioEntry, 0, len(queue))
-	}
-	p.entries = p.entries[:0]
-	for _, j := range queue {
-		sw := ScoreWait(j.WaitAt(now), waitMax)
+	entry := func(k int) prioEntry {
+		j := queue[k]
+		sw := ScoreWait(p.waits[k], waitMax)
 		sr := ScoreRuntime(j.Walltime, wallMin, wallMax)
-		p.entries = append(p.entries, prioEntry{BalancedPriority(sw, sr, bf), j})
+		return prioEntry{BalancedPriority(sw, sr, bf), k}
 	}
-	slices.SortFunc(p.entries, func(a, b prioEntry) int {
-		switch {
-		case a.score != b.score:
-			if a.score > b.score {
-				return -1
-			}
-			return 1
-		case a.j.Submit != b.j.Submit:
-			if a.j.Submit < b.j.Submit {
-				return -1
-			}
-			return 1
-		default:
-			return a.j.ID - b.j.ID
+
+	// The engine's queue is in arrival order and between passes only
+	// loses jobs and gains them at the tail, so one two-pointer walk
+	// over the old and new queues finds every survivor. The first job
+	// the walk cannot match exhausts prev, and it and every later job
+	// are treated as arrivals: a queue of any other shape just seeds
+	// fewer survivors.
+	p.next = slices.Grow(p.next[:0], len(p.prev))[:len(p.prev)]
+	i, tail := 0, 0
+	for ; tail < len(queue); tail++ {
+		for i < len(p.prev) && p.prev[i] != queue[tail] {
+			p.next[i] = -1
+			i++
 		}
-	})
-	p.jobs = p.jobs[:0]
-	for _, e := range p.entries {
-		p.jobs = append(p.jobs, e.j)
+		if i == len(p.prev) {
+			break
+		}
+		p.next[i] = tail
+		i++
 	}
-	return p.jobs
+	for ; i < len(p.prev); i++ {
+		p.next[i] = -1
+	}
+	// Survivors in their old ranks (compacted in place: the write index
+	// never passes the read index), then the arrivals.
+	old := p.entries
+	p.entries = p.entries[:0]
+	for _, e := range old {
+		if k := p.next[e.k]; k >= 0 {
+			p.entries = append(p.entries, entry(k))
+		}
+	}
+	for k := tail; k < len(queue); k++ {
+		p.entries = append(p.entries, entry(k))
+	}
+}
+
+// verifyPriorityOrder reports an error when got, a seeded prioritize
+// result for queue, differs from the reference order: the same entries
+// scored by a scratch with no seed and sorted by pdqsort alone.
+// Paranoid runs call it on every pass.
+func verifyPriorityOrder(now units.Time, queue []*job.Job, bf float64, got []*job.Job) error {
+	if len(got) != len(queue) {
+		return fmt.Errorf("core: seeded priority order has %d jobs, queue %d (now=%d, bf=%g)",
+			len(got), len(queue), now, bf)
+	}
+	if len(queue) == 0 {
+		return nil
+	}
+	var cold prioScratch
+	cold.score(now, queue, bf)
+	slices.SortFunc(cold.entries, func(a, b prioEntry) int { return comparePrio(a, b, queue) })
+	for r, e := range cold.entries {
+		if want := queue[e.k]; got[r] != want {
+			return fmt.Errorf("core: seeded priority order diverges from cold sort at rank %d of %d: job %d, want job %d (now=%d, bf=%g)",
+				r, len(queue), got[r].ID, want.ID, now, bf)
+		}
+	}
+	return nil
 }
